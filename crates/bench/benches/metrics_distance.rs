@@ -35,6 +35,11 @@ fn bench_metrics(c: &mut Criterion) {
     g.bench_function("l2_128d_sift", |bench| {
         bench.iter(|| black_box(L2.dist(black_box(&a), black_box(&b))))
     });
+    // The 8-d stream points of the sharded-window scenario.
+    let (a, b) = random_pair(8, 8);
+    g.bench_function("l2_8d_stream", |bench| {
+        bench.iter(|| black_box(L2.dist(black_box(&a), black_box(&b))))
+    });
 
     // Angular goes through the dataset so rows are pre-normalized.
     let set = VectorSet::from_rows(&[random_pair(25, 5).0, random_pair(25, 6).1], Angular);

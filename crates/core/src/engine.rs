@@ -993,6 +993,30 @@ mod tests {
     }
 
     #[test]
+    fn load_refuses_graphs_saved_under_the_old_kernel() {
+        let data = blobs(120, 8);
+        let engine = Engine::builder(&data)
+            .index(IndexSpec::Mrpg(MrpgParams::new(5)))
+            .build()
+            .expect("build");
+        let mut bytes = Vec::new();
+        engine.save(&mut bytes).expect("save");
+        // The graph codec's version byte follows its 4-byte magic, which
+        // starts after the engine header and the u64 payload length.
+        // Version 1 stored exact-K′ distances from the sequential-sum kernel.
+        let at = HEADER_LEN + 8 + 4;
+        bytes[at] = 1;
+        match Engine::load(&data, &bytes[..]) {
+            Err(DodError::Corrupt { offset, reason }) => {
+                assert_eq!(reason, "unsupported version");
+                assert_eq!(offset, at + 1);
+            }
+            Err(e) => panic!("unexpected error {e}"),
+            Ok(_) => panic!("version-1 graph accepted"),
+        }
+    }
+
+    #[test]
     fn empty_dataset_and_degenerate_queries_never_panic() {
         let empty = VectorSet::from_rows(&[], L2);
         let engine = Engine::builder(empty)

@@ -12,13 +12,24 @@
 //! pivots: bitset (n bits, padded to bytes) |
 //! exact: count u64 × (id u32, len u32, dists f64…)
 //! ```
+//!
+//! The stored exact-neighbor distances are distance-kernel outputs, and
+//! the exact-K′ shortcut compares them with `d <= r` against freshly
+//! computed ones, so the version also names the kernel's reduction order:
+//!
+//! - version 1: sequential `f64` sums;
+//! - version 2: the fixed 8-lane reduction of `dod_metrics` (current).
+//!
+//! A version-1 file is refused rather than read: its distances can differ
+//! from today's kernel in the last bits, enough to flip a decision at
+//! `d == r`. Rebuild the graph instead.
 
 use crate::graph::{ExactNn, GraphKind, ProximityGraph};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"DODG";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 fn kind_to_u8(kind: GraphKind) -> u8 {
     match kind {
@@ -350,6 +361,21 @@ mod tests {
                 Ok(_) => panic!("cut at {cut} accepted"),
             }
         }
+    }
+
+    #[test]
+    fn rejects_version_one_payloads() {
+        // Version 1 stored distances from the sequential-sum kernel.
+        let mut bytes = to_bytes(&sample_graph()).to_vec();
+        assert_eq!(bytes[4], 2);
+        bytes[4] = 1;
+        assert!(matches!(
+            from_bytes(&bytes),
+            Err(DecodeError::Corrupt {
+                offset: 5,
+                reason: "unsupported version"
+            })
+        ));
     }
 
     #[test]

@@ -1,7 +1,44 @@
 //! Vector spaces: flat `f32` storage with pluggable Minkowski-family and
 //! angular metrics.
+//!
+//! Every sum-based metric reduces through one fixed-lane kernel,
+//! `lane_sum`: elements are widened to `f64`, per-element terms go into
+//! eight independent accumulators, and the lanes fold in one fixed
+//! pairwise order. The reduction order is part of the metric's definition —
+//! it is the same on every build and machine (no FMA, no `target-cpu`
+//! dependent path), so every detection path that calls
+//! [`VectorMetric::dist`] sees bit-identical distances.
 
 use crate::dataset::Dataset;
+
+/// Independent accumulators in [`lane_sum`].
+const LANES: usize = 8;
+
+/// `Σ term(a_i, b_i)` over the paired elements of `a` and `b` (widened to
+/// `f64`), in one fixed reduction order.
+///
+/// In every full chunk of eight, element `l` adds into lane `l`; element
+/// `i` of the remainder after the last full chunk adds into lane `i`. The
+/// lanes then fold as `((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7))`. The eight lanes are
+/// independent chains of additions, which the compiler can keep in vector
+/// registers, where one serial chain would stall on each add's latency.
+#[inline(always)]
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f64, f64) -> f64) -> f64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut acc = [0.0f64; LANES];
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (x, y) in ca.zip(cb) {
+        for l in 0..LANES {
+            acc[l] += term(x[l] as f64, y[l] as f64);
+        }
+    }
+    for (l, (&x, &y)) in ra.iter().zip(rb).enumerate() {
+        acc[l] += term(x as f64, y as f64);
+    }
+    ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))
+}
 
 /// A distance function over equal-length `f32` slices.
 ///
@@ -27,10 +64,7 @@ pub struct L1;
 impl VectorMetric for L1 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (x as f64 - y as f64).abs())
-            .sum()
+        lane_sum(a, b, |x, y| (x - y).abs())
     }
 
     fn name(&self) -> &'static str {
@@ -45,14 +79,11 @@ pub struct L2;
 impl VectorMetric for L2 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
+        lane_sum(a, b, |x, y| {
+            let d = x - y;
+            d * d
+        })
+        .sqrt()
     }
 
     fn name(&self) -> &'static str {
@@ -70,15 +101,12 @@ pub struct L4;
 impl VectorMetric for L4 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                let d2 = d * d;
-                d2 * d2
-            })
-            .sum::<f64>()
-            .powf(0.25)
+        lane_sum(a, b, |x, y| {
+            let d = x - y;
+            let d2 = d * d;
+            d2 * d2
+        })
+        .powf(0.25)
     }
 
     fn name(&self) -> &'static str {
@@ -130,11 +158,7 @@ impl Minkowski {
 impl VectorMetric for Minkowski {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (x as f64 - y as f64).abs().powf(self.p))
-            .sum::<f64>()
-            .powf(1.0 / self.p)
+        lane_sum(a, b, |x, y| (x - y).abs().powf(self.p)).powf(1.0 / self.p)
     }
 
     fn name(&self) -> &'static str {
@@ -155,15 +179,13 @@ pub struct Angular;
 impl VectorMetric for Angular {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
-        let dot: f64 = a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum();
-        dot.clamp(-1.0, 1.0).acos()
+        lane_sum(a, b, |x, y| x * y).clamp(-1.0, 1.0).acos()
     }
 
     fn preprocess(&self, data: &mut [f32], dim: usize) {
         assert!(dim > 0, "angular metric requires dim > 0");
         for row in data.chunks_exact_mut(dim) {
-            let norm: f64 = row.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
-            let norm = norm.sqrt();
+            let norm = lane_sum(row, row, |x, _| x * x).sqrt();
             if norm > 0.0 {
                 for x in row {
                     *x = (*x as f64 / norm) as f32;
