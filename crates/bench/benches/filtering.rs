@@ -3,7 +3,7 @@
 //! shortcut path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dod_core::{greedy_count, TraversalBuffer};
+use dod_core::{greedy_count, FilterPlan, TraversalBuffer};
 use dod_datasets::{calibrate_r, Family};
 use dod_graph::mrpg;
 use dod_graph::MrpgParams;
@@ -24,12 +24,13 @@ fn bench_filtering(c: &mut Criterion) {
     let mut g = c.benchmark_group("greedy_counting_sift4k");
     g.sample_size(20);
     for (name, graph) in [("kgraph", &kgraph), ("mrpg", &mrpg_graph)] {
+        let plan = FilterPlan::new(graph, data);
         g.bench_function(name, |b| {
             let mut buf = TraversalBuffer::new(n);
             let mut q = 0;
             b.iter(|| {
                 q = (q + 131) % n;
-                black_box(greedy_count(graph, data, q, r, k, &mut buf))
+                black_box(greedy_count(graph, data, q, plan.ring(q), r, k, &mut buf))
             })
         });
     }

@@ -56,11 +56,13 @@ const INFORMATIONAL: &[&str] = &[
     "owned_skew",
     "slide_skew",
     "ghost_rate_max",
-    // --cost observations: the phase split rides along with the gated
-    // total, and the counting-hook micro-benchmark is pure timer noise.
+    // --cost observations: the phase split and the filter's candidate
+    // count ride along with the gated total (false positives are listed
+    // above), and the counting-hook micro-benchmark is pure timer noise.
     "filter_dist_evals",
     "verify_dist_evals",
     "hops",
+    "candidates",
     "raw_secs",
     "counted_secs",
     "counting_overhead",
@@ -294,6 +296,44 @@ mod tests {
             "rows must match despite ghost drift:\n{}",
             cmp.rendered
         );
+    }
+
+    #[test]
+    fn cost_rows_match_baselines_without_the_candidate_fields() {
+        // A baseline cost row written before rows carried candidates and
+        // false positives must still match the current row, so the
+        // dist_evals gate keeps comparing the same workload.
+        let cost_row = |dist_evals: usize, attribution: Option<(usize, usize)>| {
+            let mut fields = vec![
+                ("experiment", JsonVal::from("tables_cost")),
+                ("dataset", JsonVal::from("pamap2")),
+                ("index", JsonVal::from("mrpg:8")),
+                ("dist_evals", JsonVal::from(dist_evals)),
+            ];
+            if let Some((candidates, false_positives)) = attribution {
+                fields.push(("candidates", JsonVal::from(candidates)));
+                fields.push(("false_positives", JsonVal::from(false_positives)));
+            }
+            let mut j = JsonReport::new();
+            j.row(fields);
+            j.render()
+        };
+        let cmp =
+            compare(&cost_row(1000, None), &cost_row(2000, Some((40, 7))), 0.2).expect("compare");
+        assert_eq!(
+            cmp.regressions.len(),
+            1,
+            "rows must match:\n{}",
+            cmp.rendered
+        );
+        let cmp = compare(
+            &cost_row(1000, Some((40, 7))),
+            &cost_row(500, Some((41, 9))),
+            0.2,
+        )
+        .expect("compare");
+        assert!(cmp.regressions.is_empty(), "{}", cmp.rendered);
+        assert!(cmp.rendered.contains("improved"), "{}", cmp.rendered);
     }
 
     #[test]

@@ -514,7 +514,8 @@ fn tables(
 /// The `--cost` grid: Algorithm 1's work accounting per index spec. For
 /// every family and every wire-spelled index (`mrpg:8` … `none`), one
 /// calibrated query reports its distance evaluations by phase, graph
-/// hops and pruning power `1 − evals ⁄ n·(n−1)` — the paper's headline
+/// hops, the filter's candidates and false positives (what the verify
+/// evals are spent on), and pruning power `1 − evals ⁄ n·(n−1)` — the paper's headline
 /// quantity, now measured instead of inferred from wall time. A
 /// micro-benchmark of the counting hook itself rides along, since the
 /// accounting cannot be compiled out: the documented budget is <2%
@@ -533,6 +534,8 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
             "verify evals",
             "total",
             "hops",
+            "candidates",
+            "false positives",
             "pruning power",
         ]);
         let mut reference: Option<Vec<u32>> = None;
@@ -558,6 +561,8 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
                 cost.verify_dist_evals.to_string(),
                 cost.total_dist_evals().to_string(),
                 cost.hops.to_string(),
+                report.candidates.to_string(),
+                report.false_positives.to_string(),
                 format!("{power:.4}"),
             ]);
             if let Some(json) = json {
@@ -579,6 +584,8 @@ fn cost_grid(cfg: &Config, out: &mut dyn Write, json: &mut Option<JsonReport>) -
                         JsonVal::from(cost.verify_dist_evals as usize),
                     ),
                     ("hops", JsonVal::from(cost.hops as usize)),
+                    ("candidates", JsonVal::from(report.candidates)),
+                    ("false_positives", JsonVal::from(report.false_positives)),
                     ("pruning_power", JsonVal::from(power)),
                 ]);
             }

@@ -37,7 +37,7 @@
 
 use crate::error::DodError;
 use crate::graph_dod::detect_on_graph;
-use crate::greedy::BufferPool;
+use crate::greedy::{BufferPool, FilterPlan};
 use crate::nested_loop;
 use crate::params::{DodParams, OutlierReport, Query};
 use crate::telemetry::EngineMetrics;
@@ -188,9 +188,21 @@ impl std::str::FromStr for IndexSpec {
 
 /// The built index an engine serves from.
 enum Index {
-    Graph(ProximityGraph),
+    /// Only ever made by [`Index::graph`], so the plan always matches.
+    Graph(ProximityGraph, FilterPlan),
     Tree(VpTree),
     None,
+}
+
+impl Index {
+    /// Takes ownership of a finished graph: trims every adjacency list to
+    /// its length (construction leaves them with growth slack, which
+    /// would otherwise outweigh the ring) and derives the filter plan.
+    fn graph<D: Dataset + ?Sized>(mut g: ProximityGraph, data: &D) -> Self {
+        g.shrink_to_fit();
+        let plan = FilterPlan::new(&g, data);
+        Index::Graph(g, plan)
+    }
 }
 
 /// Configures and builds an [`Engine`]. Created by [`Engine::builder`].
@@ -255,22 +267,21 @@ impl<D: Dataset> EngineBuilder<D> {
                         data: self.data.len(),
                     });
                 }
-                Index::Graph(graph)
+                Index::graph(graph, &self.data)
             }
             None => {
                 self.spec.validate()?;
+                let data = &self.data;
                 match &self.spec {
-                    IndexSpec::Mrpg(p) => Index::Graph(mrpg::build(&self.data, p).0),
+                    IndexSpec::Mrpg(p) => Index::graph(mrpg::build(data, p).0, data),
                     IndexSpec::Nsw { degree } => {
-                        Index::Graph(mrpg::build_nsw(&self.data, *degree, self.seed))
+                        Index::graph(mrpg::build_nsw(data, *degree, self.seed), data)
                     }
-                    IndexSpec::KGraph { degree } => Index::Graph(mrpg::build_kgraph(
-                        &self.data,
-                        *degree,
-                        self.threads,
-                        self.seed,
-                    )),
-                    IndexSpec::VpTree => Index::Tree(VpTree::build(&self.data, self.seed)),
+                    IndexSpec::KGraph { degree } => Index::graph(
+                        mrpg::build_kgraph(data, *degree, self.threads, self.seed),
+                        data,
+                    ),
+                    IndexSpec::VpTree => Index::Tree(VpTree::build(data, self.seed)),
                     IndexSpec::None => Index::None,
                 }
             }
@@ -398,8 +409,9 @@ impl<D: Dataset> Engine<D> {
         let threads = query.threads().unwrap_or(self.threads).max(1);
         let (r, k) = (query.r(), query.k());
         match &self.index {
-            Index::Graph(g) => detect_on_graph(
+            Index::Graph(g, plan) => detect_on_graph(
                 g,
+                plan,
                 &self.data,
                 r,
                 k,
@@ -436,7 +448,7 @@ impl<D: Dataset> Engine<D> {
     /// The proximity graph the engine serves from, if it is graph-backed.
     pub fn graph(&self) -> Option<&ProximityGraph> {
         match &self.index {
-            Index::Graph(g) => Some(g),
+            Index::Graph(g, _) => Some(g),
             _ => None,
         }
     }
@@ -444,7 +456,7 @@ impl<D: Dataset> Engine<D> {
     /// Display name of the backing index, matching the paper's tables.
     pub fn index_name(&self) -> &'static str {
         match &self.index {
-            Index::Graph(g) => g.kind.name(),
+            Index::Graph(g, _) => g.kind.name(),
             Index::Tree(_) => "VP-tree",
             Index::None => "Nested-loop",
         }
@@ -454,7 +466,7 @@ impl<D: Dataset> Engine<D> {
     /// [`IndexSpec::None`]).
     pub fn index_bytes(&self) -> usize {
         match &self.index {
-            Index::Graph(g) => g.size_bytes(),
+            Index::Graph(g, _) => g.size_bytes(),
             Index::Tree(t) => t.size_bytes(),
             Index::None => 0,
         }
@@ -490,7 +502,7 @@ impl<D: Dataset> Engine<D> {
         let (tag, payload): (u8, Option<&ProximityGraph>) = match &self.index {
             Index::None => (TAG_NONE, None),
             Index::Tree(_) => (TAG_VPTREE, None),
-            Index::Graph(g) => (TAG_GRAPH, Some(g)),
+            Index::Graph(g, _) => (TAG_GRAPH, Some(g)),
         };
         let mut head = Vec::with_capacity(HEADER_LEN);
         head.extend_from_slice(ENGINE_MAGIC);
@@ -588,7 +600,7 @@ impl<D: Dataset> Engine<D> {
                         data: n,
                     });
                 }
-                Index::Graph(g)
+                Index::graph(g, &data)
             }
             _ => return Err(corrupt(5, "bad index tag")),
         };
@@ -1013,6 +1025,136 @@ mod tests {
             }
             Err(e) => panic!("unexpected error {e}"),
             Ok(_) => panic!("version-1 graph accepted"),
+        }
+    }
+
+    fn graph_specs() -> Vec<IndexSpec> {
+        all_specs()
+            .into_iter()
+            .filter(|s| !matches!(s, IndexSpec::VpTree | IndexSpec::None))
+            .collect()
+    }
+
+    #[test]
+    fn plan_ring_is_bitwise_the_walk_distance() {
+        let data = blobs(300, 14);
+        for spec in graph_specs() {
+            let engine = Engine::builder(&data)
+                .index(spec)
+                .seed(2)
+                .build()
+                .expect("build");
+            let Index::Graph(g, plan) = &engine.index else {
+                panic!("graph spec without a graph");
+            };
+            for (v, adj) in g.adj.iter().enumerate() {
+                let ring: Vec<u64> = plan.ring(v).iter().map(|d| d.to_bits()).collect();
+                let walk: Vec<u64> = adj
+                    .iter()
+                    .map(|&w| data.dist(v, w as usize).to_bits())
+                    .collect();
+                assert_eq!(ring, walk, "{} vertex {v}", g.kind);
+                assert_eq!(adj.capacity(), adj.len(), "{} keeps slack at {v}", g.kind);
+            }
+            let mut order = plan.order().to_vec();
+            order.sort_unstable();
+            assert!(order.iter().copied().eq(0..data.len() as u32), "{}", g.kind);
+        }
+    }
+
+    /// The deterministic part of a report: everything but wall times.
+    fn answer(r: &OutlierReport) -> (Vec<u32>, usize, usize, usize, crate::CostReport) {
+        let r = r.clone();
+        (
+            r.outliers,
+            r.candidates,
+            r.false_positives,
+            r.decided_in_filter,
+            r.cost,
+        )
+    }
+
+    #[test]
+    fn build_prebuilt_and_load_serve_identical_reports() {
+        let data = blobs(300, 15);
+        let (seed, threads) = (4, 2);
+        for spec in graph_specs() {
+            let built = Engine::builder(&data)
+                .index(spec.clone())
+                .threads(threads)
+                .seed(seed)
+                .build()
+                .expect("build");
+            let graph = match &spec {
+                IndexSpec::Mrpg(p) => mrpg::build(&data, p).0,
+                IndexSpec::Nsw { degree } => mrpg::build_nsw(&data, *degree, seed),
+                IndexSpec::KGraph { degree } => mrpg::build_kgraph(&data, *degree, threads, seed),
+                _ => unreachable!("graph specs only"),
+            };
+            let prebuilt = Engine::builder(&data)
+                .prebuilt_graph(graph)
+                .threads(threads)
+                .seed(seed)
+                .build()
+                .expect("prebuilt");
+            let mut bytes = Vec::new();
+            built.save(&mut bytes).expect("save");
+            let loaded = Engine::load(&data, &bytes[..]).expect("load");
+            for (r, k) in [(1.0, 3), (2.0, 5), (0.5, 20), (6.0, 60)] {
+                let q = Query::new(r, k).unwrap();
+                let want = answer(&built.query(q).expect("built"));
+                assert_eq!(
+                    answer(&prebuilt.query(q).expect("prebuilt")),
+                    want,
+                    "{spec:?}"
+                );
+                assert_eq!(answer(&loaded.query(q).expect("loaded")), want, "{spec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cost_obeys_its_invariants_on_every_spec() {
+        let data = blobs(240, 16);
+        let n = data.len() as u64;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut queries: Vec<(f64, usize)> = (0..8)
+            .map(|_| (rng.gen_range(0.1..6.0), rng.gen_range(1..30)))
+            .collect();
+        // Everything an outlier: every object's walk and verification
+        // run to exhaustion.
+        queries.push((1e9, data.len()));
+        for spec in all_specs() {
+            for verify in [VerifyStrategy::Linear, VerifyStrategy::VpTree] {
+                let engine = Engine::builder(&data)
+                    .index(spec.clone())
+                    .verify(verify)
+                    .build()
+                    .expect("build");
+                let graph = engine.graph().is_some();
+                for &(r, k) in &queries {
+                    let rep = engine.query(Query::new(r, k).unwrap()).expect("query");
+                    let c = rep.cost;
+                    let at = format!("{spec:?} {verify:?} r={r} k={k}: {c:?}");
+                    // Filter-less specs verify every object.
+                    let verified = if graph { rep.candidates as u64 } else { n };
+                    // A VP-tree evaluates the query against itself once
+                    // when the query is a vantage point on its own path.
+                    let tree = (!graph && matches!(spec, IndexSpec::VpTree))
+                        || (graph && verify == VerifyStrategy::VpTree);
+                    let self_evals = if tree { verified } else { 0 };
+                    assert!(
+                        c.verify_dist_evals <= verified * (n - 1) + self_evals,
+                        "{at}"
+                    );
+                    let walks = n - rep.decided_in_filter as u64;
+                    assert!(c.filter_dist_evals <= walks * (n - 1), "{at}");
+                    assert!(c.hops <= walks * n, "{at}");
+                    if !graph {
+                        assert_eq!((c.filter_dist_evals, c.hops), (0, 0), "{at}");
+                    }
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! adds buffer pooling, verification-engine caching and typed errors.
 
 use crate::error::DodError;
-use crate::greedy::{greedy_count, BufferPool, TraversalBuffer};
+use crate::greedy::{greedy_count, BufferPool, FilterPlan, TraversalBuffer};
 use crate::parallel::par_map_strided;
 use crate::params::{CostReport, DodParams, OutlierReport};
 use crate::verify::{ExactCounter, VerifyStrategy};
@@ -31,13 +31,15 @@ enum FilterOutcome {
 
 /// Runs Algorithm 1 over a prebuilt graph.
 ///
-/// `pool` supplies reusable traversal buffers and `counter` caches the
-/// resolved verification engine across queries — both are per-engine state
-/// so repeated queries stop re-allocating; one-shot callers pass fresh
-/// ones.
+/// `plan` is the graph's [`FilterPlan`]: walks start in its order and read
+/// each object's own edge distances from its ring. `pool` supplies
+/// reusable traversal buffers and `counter` caches the resolved
+/// verification engine across queries — both are per-engine state so
+/// repeated queries stop re-allocating; one-shot callers pass fresh ones.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
     g: &ProximityGraph,
+    plan: &FilterPlan,
     data: &D,
     r: f64,
     k: usize,
@@ -60,19 +62,19 @@ pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
         return Ok(OutlierReport::from_outliers(Vec::new(), 0.0));
     }
 
-    // ---- Filtering phase (parallel, strided for load balance) -------
+    // ---- Filtering phase (plan order; parallel strides over it) ------
     let t = Instant::now();
-    let use_shortcut = g.use_exact_shortcut;
     let (outcomes, (filter_dist_evals, hops)): (Vec<FilterOutcome>, (u64, u64)) = if threads <= 1 {
         let mut buf = pool.take(n);
-        let out = (0..n)
-            .map(|p| filter_one(g, data, p, r, k, use_shortcut, &mut buf))
-            .collect();
+        let mut out = vec![FilterOutcome::Inlier; n];
+        for &p in plan.order() {
+            out[p as usize] = filter_one(g, plan, data, p as usize, r, k, &mut buf);
+        }
         let cost = buf.take_cost();
         pool.put(buf);
         (out, cost)
     } else {
-        par_filter_strided(g, data, n, r, k, use_shortcut, threads, pool)
+        par_filter_strided(g, plan, data, r, k, threads, pool)
     };
     let filter_secs = t.elapsed().as_secs_f64();
 
@@ -141,14 +143,14 @@ pub(crate) fn detect_on_graph<D: Dataset + ?Sized>(
 /// replacement for exact-`K'` nodes).
 fn filter_one<D: Dataset + ?Sized>(
     g: &ProximityGraph,
+    plan: &FilterPlan,
     data: &D,
     p: usize,
     r: f64,
     k: usize,
-    use_shortcut: bool,
     buf: &mut TraversalBuffer,
 ) -> FilterOutcome {
-    if use_shortcut {
+    if g.use_exact_shortcut {
         if let Some(exact) = g.exact.get(&(p as u32)) {
             if k <= exact.dists.len() {
                 // The prefix holds the exact K' nearest distances: the
@@ -162,27 +164,28 @@ fn filter_one<D: Dataset + ?Sized>(
             }
         }
     }
-    if greedy_count(g, data, p, r, k, buf) < k {
+    if greedy_count(g, data, p, plan.ring(p), r, k, buf) < k {
         FilterOutcome::Candidate
     } else {
         FilterOutcome::Inlier
     }
 }
 
-/// Strided parallel filtering where every worker owns one pooled traversal
-/// buffer for the duration of the phase. Returns the outcomes plus the
-/// summed `(dist_evals, hops)` drained from every worker's buffer.
-#[allow(clippy::too_many_arguments)]
+/// Strided parallel filtering over the plan's walk order: worker `t` takes
+/// order positions `t, t + threads, …`, owning one pooled traversal buffer
+/// for the duration of the phase. Returns the outcomes by object id plus
+/// the summed `(dist_evals, hops)` drained from every worker's buffer.
 fn par_filter_strided<D: Dataset + ?Sized>(
     g: &ProximityGraph,
+    plan: &FilterPlan,
     data: &D,
-    n: usize,
     r: f64,
     k: usize,
-    use_shortcut: bool,
     threads: usize,
     pool: &BufferPool,
 ) -> (Vec<FilterOutcome>, (u64, u64)) {
+    let order = plan.order();
+    let n = order.len();
     let mut dist_evals = 0u64;
     let mut hops = 0u64;
     let buckets: Vec<Vec<FilterOutcome>> = std::thread::scope(|scope| {
@@ -190,9 +193,10 @@ fn par_filter_strided<D: Dataset + ?Sized>(
             .map(|t| {
                 let mut buf = pool.take(n);
                 scope.spawn(move || {
-                    let bucket = (t..n)
+                    let bucket = order[t.min(n)..]
+                        .iter()
                         .step_by(threads)
-                        .map(|p| filter_one(g, data, p, r, k, use_shortcut, &mut buf))
+                        .map(|&p| filter_one(g, plan, data, p as usize, r, k, &mut buf))
                         .collect::<Vec<_>>();
                     (buf, bucket)
                 })
@@ -213,7 +217,7 @@ fn par_filter_strided<D: Dataset + ?Sized>(
     let mut out = vec![FilterOutcome::Inlier; n];
     for (t, bucket) in buckets.into_iter().enumerate() {
         for (j, v) in bucket.into_iter().enumerate() {
-            out[t + j * threads] = v;
+            out[order[t + j * threads] as usize] = v;
         }
     }
     (out, (dist_evals, hops))
@@ -373,6 +377,145 @@ mod tests {
         // The graph filter must beat brute force on a clustered set.
         let pp = report.cost.pruning_power(data.len());
         assert!(pp > 0.0 && pp <= 1.0, "pruning power {pp} out of range");
+    }
+
+    /// A plain Algorithm 2 walk, as the filter ran before it had a plan:
+    /// every visit is a kernel call. Returns `(count, kernel calls, hops,
+    /// calls made while expanding p itself)`.
+    fn plain_walk(
+        g: &ProximityGraph,
+        data: &VectorSet<L2>,
+        p: usize,
+        r: f64,
+        k: usize,
+    ) -> (usize, u64, u64, u64) {
+        let mut seen = vec![false; g.node_count()];
+        seen[p] = true;
+        let mut queue = std::collections::VecDeque::from([p as u32]);
+        let (mut count, mut evals, mut hops, mut first_ring) = (0, 0, 0, 0);
+        while let Some(v) = queue.pop_front() {
+            hops += 1;
+            for &w in &g.adj[v as usize] {
+                if std::mem::replace(&mut seen[w as usize], true) {
+                    continue;
+                }
+                evals += 1;
+                first_ring += u64::from(v as usize == p);
+                if data.dist(p, w as usize) <= r {
+                    count += 1;
+                    if count == k {
+                        return (count, evals, hops, first_ring);
+                    }
+                    queue.push_back(w);
+                } else if g.expand_pivots && g.pivot[w as usize] {
+                    queue.push_back(w);
+                }
+            }
+        }
+        (count, evals, hops, first_ring)
+    }
+
+    /// Algorithm 1 with plain walks and linear verification, written out
+    /// independently of the engine: the report it must reproduce, plus
+    /// the number of first-ring reads the plan saves.
+    fn plain_algorithm_1(
+        g: &ProximityGraph,
+        data: &VectorSet<L2>,
+        r: f64,
+        k: usize,
+    ) -> (OutlierReport, u64) {
+        let n = data.len();
+        let mut report = OutlierReport::from_outliers(Vec::new(), 0.0);
+        let mut ring_reads = 0;
+        let mut candidates = Vec::new();
+        for p in 0..n {
+            if let Some(e) = g.exact.get(&(p as u32)).filter(|_| g.use_exact_shortcut) {
+                if k <= e.dists.len() {
+                    if e.dists.partition_point(|&d| d <= r) < k {
+                        report.outliers.push(p as u32);
+                        report.decided_in_filter += 1;
+                    }
+                    continue;
+                }
+            }
+            let (count, evals, hops, first_ring) = plain_walk(g, data, p, r, k);
+            report.cost.filter_dist_evals += evals;
+            report.cost.hops += hops;
+            ring_reads += first_ring;
+            if count < k {
+                candidates.push(p);
+            }
+        }
+        report.candidates = candidates.len();
+        for p in candidates {
+            let mut count = 0;
+            for j in (0..n).filter(|&j| j != p) {
+                report.cost.verify_dist_evals += 1;
+                if data.dist(p, j) <= r {
+                    count += 1;
+                    if count == k {
+                        break;
+                    }
+                }
+            }
+            if count < k {
+                report.outliers.push(p as u32);
+            } else {
+                report.false_positives += 1;
+            }
+        }
+        report.outliers.sort_unstable();
+        (report, ring_reads)
+    }
+
+    #[test]
+    fn plan_walks_reproduce_plain_algorithm_2_minus_first_ring_reads() {
+        use crate::engine::IndexSpec;
+        let data = clustered_with_outliers(400, 12);
+        let mut saved = 0;
+        for spec in [
+            IndexSpec::Mrpg(MrpgParams::new(6)),
+            IndexSpec::Nsw { degree: 6 },
+            IndexSpec::KGraph { degree: 6 },
+        ] {
+            let engine = Engine::builder(&data)
+                .index(spec)
+                .verify(VerifyStrategy::Linear)
+                .seed(3)
+                .build()
+                .expect("build");
+            let g = engine.graph().expect("graph engine");
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..6 {
+                let (r, k) = (rng.gen_range(0.2..4.0), rng.gen_range(1..40));
+                let (want, ring_reads) = plain_algorithm_1(g, &data, r, k);
+                assert_eq!(
+                    want.outliers,
+                    nested_loop::detect(&data, &DodParams::new(r, k), 0).outliers
+                );
+                for threads in [1, 3] {
+                    let q = crate::Query::new(r, k).unwrap().with_threads(threads);
+                    let got = engine.query(q).expect("query");
+                    let at = format!("{} r={r} k={k} threads={threads}", g.kind);
+                    assert_eq!(got.outliers, want.outliers, "{at}");
+                    assert_eq!(got.candidates, want.candidates, "{at}");
+                    assert_eq!(got.false_positives, want.false_positives, "{at}");
+                    assert_eq!(got.decided_in_filter, want.decided_in_filter, "{at}");
+                    assert_eq!(got.cost.hops, want.cost.hops, "{at}");
+                    assert_eq!(
+                        got.cost.verify_dist_evals, want.cost.verify_dist_evals,
+                        "{at}"
+                    );
+                    assert_eq!(
+                        got.cost.filter_dist_evals,
+                        want.cost.filter_dist_evals - ring_reads,
+                        "{at}"
+                    );
+                }
+                saved += ring_reads;
+            }
+        }
+        assert!(saved > 0, "no walk read its ring");
     }
 
     #[test]

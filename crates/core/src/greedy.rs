@@ -137,27 +137,114 @@ impl BufferPool {
     }
 }
 
+/// State the filter derives once per graph and reuses on every query:
+/// the exact distance of every edge, laid out per source vertex, and the
+/// order in which Algorithm 1 walks the objects.
+///
+/// Both parts are pure functions of the graph and the dataset, so they
+/// are recomputed wherever an engine takes ownership of a graph (build,
+/// prebuilt graph, load) and never persisted.
+pub struct FilterPlan {
+    /// `ring[v][i] == data.dist(v, adj[v][i])` — the exact call, with the
+    /// same argument order, that a walk from `v` makes when it expands
+    /// `v` itself, so reading it is bitwise identical to evaluating it.
+    ring: Vec<Box<[f64]>>,
+    /// Every vertex once, in BFS order over the graph, component by
+    /// component from id 0: consecutive walks start next to each other,
+    /// so they touch overlapping rows and adjacency lists.
+    order: Vec<u32>,
+}
+
+impl FilterPlan {
+    /// Derives the plan for `g` over `data` (one kernel call per
+    /// directed edge).
+    pub fn new<D: Dataset + ?Sized>(g: &ProximityGraph, data: &D) -> Self {
+        let ring = g
+            .adj
+            .iter()
+            .enumerate()
+            .map(|(v, adj)| adj.iter().map(|&w| data.dist(v, w as usize)).collect())
+            .collect();
+        let n = g.node_count();
+        let mut order = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        for s in 0..n {
+            if seen[s] {
+                continue;
+            }
+            seen[s] = true;
+            // `order` doubles as the BFS queue: entries past `head` are
+            // discovered but not yet expanded.
+            let mut head = order.len();
+            order.push(s as u32);
+            while head < order.len() {
+                let v = order[head] as usize;
+                head += 1;
+                for &w in &g.adj[v] {
+                    if !seen[w as usize] {
+                        seen[w as usize] = true;
+                        order.push(w);
+                    }
+                }
+            }
+        }
+        FilterPlan { ring, order }
+    }
+
+    /// The exact distances from `v` to each of its adjacency entries, in
+    /// adjacency order.
+    pub fn ring(&self, v: usize) -> &[f64] {
+        &self.ring[v]
+    }
+
+    /// The walk order: a permutation of `0..n`.
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+}
+
 /// Counts neighbors of `p` (objects within `r`, excluding `p`) reachable by
 /// the greedy graph walk, stopping at `k`. Returns `min(reached, k)`.
+///
+/// `ring` is `p`'s [`FilterPlan::ring`]: expanding `p` itself reads its
+/// edge distances from there instead of calling the kernel, which is the
+/// only difference from a plain Algorithm 2 walk — visit order, hops and
+/// every decision are the same. The buffer's distance tally books kernel
+/// calls only.
 ///
 /// Lemma 1: the result is a lower bound of the true neighbor count, so
 /// `greedy_count(..) >= k` proves `p` is an inlier while `< k` only makes
 /// it a *candidate* outlier.
+///
+/// # Panics
+///
+/// If `ring` is not as long as `p`'s adjacency list.
 pub fn greedy_count<D: Dataset + ?Sized>(
     g: &ProximityGraph,
     data: &D,
     p: usize,
+    ring: &[f64],
     r: f64,
     k: usize,
     buf: &mut TraversalBuffer,
 ) -> usize {
+    assert_eq!(
+        ring.len(),
+        g.adj[p].len(),
+        "ring of {p} must match its adjacency"
+    );
     if k == 0 {
         return 0;
     }
     buf.begin();
     buf.mark(p as u32);
-    buf.queue.push_back(p as u32);
+    buf.hops += 1;
     let mut count = 0usize;
+    for (&w, &d) in g.adj[p].iter().zip(ring) {
+        if buf.mark(w) && admit(g, buf, w, d <= r, &mut count, k) {
+            return count;
+        }
+    }
     while let Some(v) = buf.queue.pop_front() {
         buf.hops += 1;
         for i in 0..g.adj[v as usize].len() {
@@ -166,27 +253,46 @@ pub fn greedy_count<D: Dataset + ?Sized>(
                 continue;
             }
             buf.dist_evals += 1;
-            let d = data.dist(p, w as usize);
-            if d <= r {
-                count += 1;
-                if count == k {
-                    return count;
-                }
-                buf.queue.push_back(w);
-            } else if g.expand_pivots && g.pivot[w as usize] {
-                // Line 13: pivots bridge regions even when they themselves
-                // lie outside the query ball.
-                buf.queue.push_back(w);
+            if admit(g, buf, w, data.dist(p, w as usize) <= r, &mut count, k) {
+                return count;
             }
         }
     }
     count
 }
 
+/// One newly visited vertex `w` of a [`greedy_count`] walk: counts and
+/// enqueues it when it lies `within` the radius, enqueues it anyway when
+/// it is a pivot the graph expands (Algorithm 2 lines 13–14; pivots
+/// bridge regions even when they themselves lie outside the query ball).
+/// Returns `true` once the count reaches `k`.
+#[inline]
+fn admit(
+    g: &ProximityGraph,
+    buf: &mut TraversalBuffer,
+    w: u32,
+    within: bool,
+    count: &mut usize,
+    k: usize,
+) -> bool {
+    if within {
+        *count += 1;
+        if *count == k {
+            return true;
+        }
+        buf.queue.push_back(w);
+    } else if g.expand_pivots && g.pivot[w as usize] {
+        buf.queue.push_back(w);
+    }
+    false
+}
+
 /// Like [`greedy_count`], but collects the *ids* of the reached neighbors
 /// into `out` (cleared first) instead of only counting them, and does not
 /// stop at `k` — the walk floods everything reachable under the expansion
-/// rule, up to `limit` collected ids.
+/// rule, up to `limit` collected ids. It takes no ring: `p`'s own edges
+/// cost kernel calls here (its caller, the streaming graph, changes under
+/// every slide and keeps no [`FilterPlan`]).
 ///
 /// The result is a subset of the true `r`-neighborhood of `p` (Lemma 1
 /// applies unchanged), which is what incremental consumers — the streaming
@@ -237,6 +343,18 @@ mod tests {
     use dod_graph::GraphKind;
     use dod_metrics::{VectorSet, L2};
 
+    /// [`greedy_count`] with `p`'s ring from a freshly derived plan.
+    fn count(
+        g: &ProximityGraph,
+        data: &VectorSet<L2>,
+        p: usize,
+        r: f64,
+        k: usize,
+        buf: &mut TraversalBuffer,
+    ) -> usize {
+        greedy_count(g, data, p, FilterPlan::new(g, data).ring(p), r, k, buf)
+    }
+
     /// A path graph over integer points 0..n on a line.
     fn line_graph(n: usize) -> (VectorSet<L2>, ProximityGraph) {
         let data = VectorSet::from_rows(&(0..n).map(|i| vec![i as f32]).collect::<Vec<_>>(), L2);
@@ -252,21 +370,21 @@ mod tests {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
         // From point 10 with r = 3: neighbors are 7..13 minus itself = 6.
-        assert_eq!(greedy_count(&g, &data, 10, 3.0, 100, &mut buf), 6);
+        assert_eq!(count(&g, &data, 10, 3.0, 100, &mut buf), 6);
     }
 
     #[test]
     fn early_termination_at_k() {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
-        assert_eq!(greedy_count(&g, &data, 10, 3.0, 4, &mut buf), 4);
+        assert_eq!(count(&g, &data, 10, 3.0, 4, &mut buf), 4);
     }
 
     #[test]
     fn k_zero_returns_zero() {
         let (data, g) = line_graph(5);
         let mut buf = TraversalBuffer::new(5);
-        assert_eq!(greedy_count(&g, &data, 2, 10.0, 0, &mut buf), 0);
+        assert_eq!(count(&g, &data, 2, 10.0, 0, &mut buf), 0);
     }
 
     #[test]
@@ -276,7 +394,7 @@ mod tests {
         for p in 0..30 {
             for r in [0.5, 1.0, 2.5, 7.0] {
                 let truth = (0..30).filter(|&j| j != p && data.dist(p, j) <= r).count();
-                let got = greedy_count(&g, &data, p, r, usize::MAX, &mut buf);
+                let got = count(&g, &data, p, r, usize::MAX, &mut buf);
                 assert!(got <= truth, "p={p} r={r}: {got} > {truth}");
             }
         }
@@ -291,7 +409,7 @@ mod tests {
         g.add_undirected(0, 1);
         g.add_undirected(1, 2);
         let mut buf = TraversalBuffer::new(3);
-        assert_eq!(greedy_count(&g, &data, 0, 2.0, 10, &mut buf), 0);
+        assert_eq!(count(&g, &data, 0, 2.0, 10, &mut buf), 0);
     }
 
     #[test]
@@ -304,7 +422,7 @@ mod tests {
         g.add_undirected(1, 2);
         g.pivot[1] = true;
         let mut buf = TraversalBuffer::new(3);
-        assert_eq!(greedy_count(&g, &data, 0, 2.0, 10, &mut buf), 1);
+        assert_eq!(count(&g, &data, 0, 2.0, 10, &mut buf), 1);
     }
 
     #[test]
@@ -312,19 +430,19 @@ mod tests {
         let data = VectorSet::from_rows(&[vec![0.0], vec![0.1]], L2);
         let g = ProximityGraph::new(2, GraphKind::KGraph);
         let mut buf = TraversalBuffer::new(2);
-        assert_eq!(greedy_count(&g, &data, 0, 1.0, 5, &mut buf), 0);
+        assert_eq!(count(&g, &data, 0, 1.0, 5, &mut buf), 0);
     }
 
     #[test]
     fn buffer_reuse_is_clean_across_queries() {
         let (data, g) = line_graph(15);
         let mut buf = TraversalBuffer::new(15);
-        let a = greedy_count(&g, &data, 3, 2.0, 100, &mut buf);
+        let a = count(&g, &data, 3, 2.0, 100, &mut buf);
         // Re-run the same query with the same buffer: same answer.
-        let b = greedy_count(&g, &data, 3, 2.0, 100, &mut buf);
+        let b = count(&g, &data, 3, 2.0, 100, &mut buf);
         assert_eq!(a, b);
         // And an unrelated query is unaffected by stale marks.
-        assert_eq!(greedy_count(&g, &data, 12, 2.0, 100, &mut buf), 4);
+        assert_eq!(count(&g, &data, 12, 2.0, 100, &mut buf), 4);
     }
 
     #[test]
@@ -357,7 +475,7 @@ mod tests {
         for p in (0..30).step_by(5) {
             for r in [0.5, 2.0, 6.5] {
                 greedy_collect(&g, &data, p, r, usize::MAX, &mut buf, &mut out);
-                let counted = greedy_count(&g, &data, p, r, usize::MAX, &mut buf);
+                let counted = count(&g, &data, p, r, usize::MAX, &mut buf);
                 assert_eq!(out.len(), counted, "p={p} r={r}");
                 assert!(out.iter().all(|&w| data.dist(p, w as usize) <= r));
             }
@@ -392,30 +510,55 @@ mod tests {
     }
 
     #[test]
+    fn plan_orders_walks_breadth_first_component_by_component() {
+        // Components {0, 3, 5, 2} and {1, 4}, plus the isolated 6.
+        let data = VectorSet::from_rows(&(0..7).map(|i| vec![i as f32]).collect::<Vec<_>>(), L2);
+        let mut g = ProximityGraph::new(7, GraphKind::KGraph);
+        for (u, v) in [(0, 5), (0, 3), (3, 2), (4, 1)] {
+            g.add_undirected(u, v);
+        }
+        let plan = FilterPlan::new(&g, &data);
+        assert_eq!(plan.order(), &[0, 5, 3, 2, 1, 4, 6]);
+        assert_eq!(plan.ring(0), &[5.0, 3.0]);
+        assert_eq!(plan.ring(3), &[3.0, 1.0]);
+        assert!(plan.ring(6).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "must match its adjacency")]
+    fn a_ring_of_the_wrong_length_is_refused() {
+        let (data, g) = line_graph(5);
+        let mut buf = TraversalBuffer::new(5);
+        greedy_count(&g, &data, 2, &[1.0], 3.0, 2, &mut buf);
+    }
+
+    #[test]
     fn cost_tally_counts_dists_and_hops_across_walks() {
         let (data, g) = line_graph(20);
         let mut buf = TraversalBuffer::new(20);
         assert_eq!(buf.take_cost(), (0, 0));
-        greedy_count(&g, &data, 10, 3.0, 100, &mut buf);
+        count(&g, &data, 10, 3.0, 100, &mut buf);
         let (d1, h1) = buf.take_cost();
-        // From 10 with r=3 the walk evaluates each ball vertex (7..13)
-        // plus the two boundary rejections (6 and 14), and expands every
-        // in-ball vertex.
-        assert_eq!(d1, 8);
+        // From 10 with r=3 the walk visits each ball vertex (7..13) plus
+        // the two boundary rejections (6 and 14), and expands every
+        // in-ball vertex. Of those 8 visits, 10's own neighbors (9 and 11)
+        // are read from its ring, so 6 are kernel calls.
+        assert_eq!(d1, 6);
         assert_eq!(h1, 7);
         // The tally accumulates across walks and drains to zero.
-        greedy_count(&g, &data, 10, 3.0, 100, &mut buf);
-        greedy_count(&g, &data, 10, 3.0, 100, &mut buf);
+        count(&g, &data, 10, 3.0, 100, &mut buf);
+        count(&g, &data, 10, 3.0, 100, &mut buf);
         assert_eq!(buf.take_cost(), (2 * d1, 2 * h1));
         assert_eq!(buf.take_cost(), (0, 0));
         // Early termination at k does less work than the full flood.
-        greedy_count(&g, &data, 10, 3.0, 1, &mut buf);
-        let (d_early, _) = buf.take_cost();
-        assert!(d_early < d1, "{d_early} >= {d1}");
-        // collect books the same flood cost as count.
+        count(&g, &data, 10, 3.0, 1, &mut buf);
+        // Here the first ring read (9) already decides it.
+        assert_eq!(buf.take_cost(), (0, 1));
+        // collect walks the same flood but has no ring: it pays a kernel
+        // call for each of 10's two neighbors too.
         let mut out = Vec::new();
         greedy_collect(&g, &data, 10, 3.0, usize::MAX, &mut buf, &mut out);
-        assert_eq!(buf.take_cost(), (d1, h1));
+        assert_eq!(buf.take_cost(), (d1 + 2, h1));
         // Manual booking rides the same tally.
         buf.note_dist(5);
         buf.note_hop(2);
@@ -427,9 +570,9 @@ mod tests {
         let (data, g) = line_graph(4);
         let mut buf = TraversalBuffer::new(4);
         buf.epoch = u32::MAX - 1;
-        let a = greedy_count(&g, &data, 1, 1.0, 100, &mut buf);
-        let b = greedy_count(&g, &data, 1, 1.0, 100, &mut buf); // wraps here
-        let c = greedy_count(&g, &data, 1, 1.0, 100, &mut buf);
+        let a = count(&g, &data, 1, 1.0, 100, &mut buf);
+        let b = count(&g, &data, 1, 1.0, 100, &mut buf); // wraps here
+        let c = count(&g, &data, 1, 1.0, 100, &mut buf);
         assert_eq!(a, 2);
         assert_eq!(b, 2);
         assert_eq!(c, 2);

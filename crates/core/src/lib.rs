@@ -41,7 +41,7 @@ pub mod vptree_dod;
 
 pub use engine::{Engine, EngineBuilder, IndexSpec};
 pub use error::DodError;
-pub use greedy::{greedy_collect, greedy_count, TraversalBuffer};
+pub use greedy::{greedy_collect, greedy_count, FilterPlan, TraversalBuffer};
 pub use params::{CostReport, DodParams, OutlierReport, Query};
 pub use telemetry::EngineMetrics;
 pub use verify::VerifyStrategy;

@@ -6,6 +6,13 @@
 //! Chunked partitioning would hand one thread all the expensive objects;
 //! strided (round-robin) assignment spreads them evenly, which is the
 //! deterministic equivalent of the random partitioning §4 describes.
+//!
+//! The graph filter strides the same way, but over the walk order of its
+//! [`FilterPlan`](crate::greedy::FilterPlan) (a breadth-first order of
+//! the graph) rather than over ids: worker `t` walks order positions
+//! `t, t + threads, …`, so each worker's consecutive walks start near
+//! each other while the expensive regions still spread over all workers.
+//! Outcomes are written back by id.
 
 /// Computes `f(i)` for `i in 0..n` with `threads` workers in round-robin
 /// assignment and returns results in index order. Deterministic for any

@@ -126,6 +126,14 @@ impl ProximityGraph {
         added
     }
 
+    /// Releases the growth slack construction leaves in the adjacency
+    /// lists (capacity beyond length).
+    pub fn shrink_to_fit(&mut self) {
+        for l in &mut self.adj {
+            l.shrink_to_fit();
+        }
+    }
+
     /// Ids of all pivot nodes.
     pub fn pivot_ids(&self) -> Vec<u32> {
         (0..self.node_count() as u32)

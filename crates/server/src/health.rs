@@ -18,7 +18,7 @@
 //! typo must never quietly answer the unfiltered document.
 
 use crate::http::Request;
-use crate::registry::SessionEntry;
+use crate::registry::{read, SessionEntry};
 use crate::routes::{bad_request, no_engine, no_session, query_params, valid_name, Response};
 use crate::State;
 use dod_core::profile::{Phase, PHASES};
@@ -197,11 +197,11 @@ pub(crate) fn handle_debug_health(state: &State, req: &Request) -> Response {
     // aggregation and the per-session health barrier are pipeline
     // round-trips that must not block creates and deletes.
     let mut engines = {
-        let reg = state.engines.read().expect("engine registry lock");
+        let reg = read(&state.engines);
         reg.sorted()
     };
     let mut sessions = {
-        let reg = state.sessions.read().expect("session registry lock");
+        let reg = read(&state.sessions);
         reg.sorted()
     };
     if let Some(want) = &filter.engine {

@@ -967,3 +967,86 @@ fn handle_connection(stream: TcpStream, state: &State, cfg: ConnConfig, submitte
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    /// One request on a fresh connection: `(status, body)`.
+    fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(60))).ok();
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        conn.write_all(raw.as_bytes()).expect("send");
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).expect("reply");
+        let status = reply
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("bad reply {reply:?}"));
+        let body = reply.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        (status, body.to_string())
+    }
+
+    #[test]
+    fn a_panic_under_a_registry_lock_does_not_take_the_server_down() {
+        let handle = DodServer::builder()
+            .workers(2)
+            .bind("127.0.0.1:0")
+            .expect("bind")
+            .start();
+        let addr = handle.addr();
+        let (status, body) = exchange(
+            addr,
+            "PUT",
+            "/v1/engines/e",
+            r#"{"family":"sift","n":120,"seed":1,"index":"vptree"}"#,
+        );
+        assert_eq!(status, 201, "{body}");
+
+        // A handler that panics while holding each registry's write lock.
+        let state = Arc::clone(&handle.state);
+        let poisoner = std::thread::spawn(move || {
+            let _engines = state.engines.write().expect("first holder");
+            let _sessions = state.sessions.write().expect("first holder");
+            panic!("handler panicked under the registry locks");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(handle.state.engines.is_poisoned());
+        assert!(handle.state.sessions.is_poisoned());
+
+        // Every route that takes a registry lock still answers.
+        let session = r#"{"metric":"l2","dim":2,"r":1,"k":2,"window":{"count":32}}"#;
+        let query = r#"{"queries":[{"r":0.5,"k":3}]}"#;
+        let points = r#"{"points":[[0,0],[0.5,0],[9,9]]}"#;
+        for (method, path, body, want) in [
+            ("GET", "/healthz", "", 200),
+            ("GET", "/v1/engines", "", 200),
+            ("GET", "/v1/engines/e", "", 200),
+            ("POST", "/v1/engines/e/query", query, 200),
+            (
+                "PUT",
+                "/v1/engines/f",
+                r#"{"family":"sift","n":60,"seed":2}"#,
+                201,
+            ),
+            ("DELETE", "/v1/engines/f", "", 200),
+            ("POST", "/v1/sessions", session, 201),
+            ("POST", "/v1/sessions/s1/ingest", points, 200),
+            ("GET", "/v1/sessions/s1/report", "", 200),
+            ("GET", "/v1/sessions", "", 200),
+            ("DELETE", "/v1/sessions/s1", "", 200),
+            ("GET", "/metrics", "", 200),
+            ("GET", "/v1/debug/health", "", 200),
+        ] {
+            let (status, reply) = exchange(addr, method, path, body);
+            assert_eq!(status, want, "{method} {path}: {reply}");
+        }
+        handle.shutdown();
+    }
+}

@@ -14,6 +14,7 @@
 //! are registry-validated identifiers (`[A-Za-z0-9_-]{1,64}`), so they
 //! embed in label values without escaping.
 
+use crate::registry::read;
 use crate::routes::Route;
 use crate::State;
 use dod_core::telemetry::HistogramSnapshot;
@@ -149,22 +150,10 @@ pub(crate) fn render(state: &State) -> String {
     // Snapshot both registries up front (name-sorted, so scrapes are
     // deterministic) and render with no lock held: a slow scrape client
     // must not block engine creation.
-    let engines = state.engines.read().expect("engine registry lock").sorted();
-    let engine_capacity = state
-        .engines
-        .read()
-        .expect("engine registry lock")
-        .capacity();
-    let sessions = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .sorted();
-    let session_capacity = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .capacity();
+    let engines = read(&state.engines).sorted();
+    let engine_capacity = read(&state.engines).capacity();
+    let sessions = read(&state.sessions).sorted();
+    let session_capacity = read(&state.sessions).capacity();
 
     header(
         &mut out,

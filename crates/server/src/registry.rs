@@ -27,7 +27,22 @@ use dod_shard::WalTelemetry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Read-locks a registry, recovering the lock if a panicking holder
+/// poisoned it. The registries' maps are consistent after every single
+/// insert or remove, so a panic under the lock leaves them usable (at
+/// worst an engine insert stops short of its evictions, and the next
+/// insert finishes them) — while refusing a poisoned lock would turn
+/// every later request that touches the registry into a panic.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks a registry; poison-tolerant like [`read`].
+pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A resident engine: the queryable object plus the listing metadata it
 /// was created with.

@@ -12,7 +12,7 @@
 //! byte-for-byte (the compat-shim tests pin this).
 
 use crate::http::Request;
-use crate::registry::SessionEntry;
+use crate::registry::{read, write, SessionEntry};
 use crate::streams::AnyStreamDetector;
 use crate::{State, DEFAULT_RESOURCE};
 use dod_core::profile::{Phase, ThreadProfile};
@@ -739,11 +739,11 @@ pub(crate) fn no_session(id: &str) -> Response {
 
 fn handle_healthz(state: &State) -> Response {
     let (default_engine, engines) = {
-        let reg = state.engines.read().expect("engine registry lock");
+        let reg = read(&state.engines);
         (reg.peek(DEFAULT_RESOURCE).is_some(), reg.len())
     };
     let (default_session, sessions) = {
-        let reg = state.sessions.read().expect("session registry lock");
+        let reg = read(&state.sessions);
         (reg.get(DEFAULT_RESOURCE).is_some(), reg.len())
     };
     Response::json(
@@ -772,7 +772,7 @@ fn engine_summary(name: &str, entry: &crate::registry::EngineEntry) -> JsonValue
 }
 
 fn handle_engine_list(state: &State) -> Response {
-    let reg = state.engines.read().expect("engine registry lock");
+    let reg = read(&state.engines);
     let engines: Vec<JsonValue> = reg
         .sorted()
         .iter()
@@ -793,12 +793,7 @@ fn handle_engine_list(state: &State) -> Response {
 fn handle_engine_get(state: &State, name: &str) -> Response {
     // peek, not get: inspecting an engine is not using it, so a listing
     // crawler must not keep a cold engine warm.
-    let Some(entry) = state
-        .engines
-        .read()
-        .expect("engine registry lock")
-        .peek(name)
-    else {
+    let Some(entry) = read(&state.engines).peek(name) else {
         return no_engine(name);
     };
     Response::json(200, engine_summary(name, &entry).render())
@@ -856,13 +851,10 @@ fn handle_engine_put(state: &State, name: &str, req: &Request) -> Response {
     };
     let index_text = spec.index.to_string();
     let (created, evicted) = {
-        let mut reg = state.engines.write().expect("engine registry lock");
+        let mut reg = write(&state.engines);
         reg.insert(name, std::sync::Arc::new(engine), index_text)
     };
-    let entry = state
-        .engines
-        .read()
-        .expect("engine registry lock")
+    let entry = read(&state.engines)
         .peek(name)
         .expect("just inserted; capacity ≥ 1 keeps the newest entry");
     Response::json(
@@ -885,11 +877,7 @@ fn handle_engine_put(state: &State, name: &str, req: &Request) -> Response {
 }
 
 fn handle_engine_delete(state: &State, name: &str) -> Response {
-    let removed = state
-        .engines
-        .write()
-        .expect("engine registry lock")
-        .remove(name);
+    let removed = write(&state.engines).remove(name);
     match removed {
         // The entry drops here, outside the lock.
         Some(_) => Response::json(
@@ -909,12 +897,7 @@ fn handle_engine_query(
 ) -> Response {
     // get, not peek: answering queries is exactly what "recently used"
     // means for the LRU bound.
-    let Some(entry) = state
-        .engines
-        .read()
-        .expect("engine registry lock")
-        .get(name)
-    else {
+    let Some(entry) = read(&state.engines).get(name) else {
         return missing;
     };
     let (queries, explain) = match parse_queries(&req.body, state.max_query_threads) {
@@ -1002,7 +985,7 @@ fn session_summary(id: &str, entry: &SessionEntry) -> JsonValue {
 }
 
 fn handle_session_list(state: &State) -> Response {
-    let reg = state.sessions.read().expect("session registry lock");
+    let reg = read(&state.sessions);
     let sessions: Vec<JsonValue> = reg
         .sorted()
         .iter()
@@ -1021,12 +1004,7 @@ fn handle_session_list(state: &State) -> Response {
 }
 
 fn handle_session_get(state: &State, id: &str) -> Response {
-    let Some(entry) = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .get(id)
-    else {
+    let Some(entry) = read(&state.sessions).get(id) else {
         return no_session(id);
     };
     Response::json(200, session_summary(id, &entry).render())
@@ -1101,12 +1079,7 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
     // Only a fully validated spec may consume a slot. The id is reserved
     // *before* the pipeline spins up because its profiler threads are
     // named after it (`{id}/router`, `{id}/pump-{n}`).
-    let Some(id) = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .reserve()
-    else {
+    let Some(id) = write(&state.sessions).reserve() else {
         return session_capacity_response(state);
     };
     let metric = detector.metric_name();
@@ -1118,11 +1091,7 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
         ingested: Counter::new(),
         durable: None,
     };
-    let mounted = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .mount(&id, entry);
+    let mounted = write(&state.sessions).mount(&id, entry);
     match mounted {
         Ok(entry) => Response::json(201, session_summary(&id, &entry).render()),
         Err(refused_entry) => {
@@ -1137,11 +1106,7 @@ fn handle_session_create(state: &State, req: &Request) -> Response {
 }
 
 fn session_capacity_response(state: &State) -> Response {
-    let capacity = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .capacity();
+    let capacity = read(&state.sessions).capacity();
     Response::json(
         429,
         error_body(
@@ -1158,12 +1123,7 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
     let Some(data_dir) = &state.data_dir else {
         return unavailable("a data directory (durable sessions)");
     };
-    let Some(id) = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .reserve()
-    else {
+    let Some(id) = write(&state.sessions).reserve() else {
         return session_capacity_response(state);
     };
     let dir = data_dir.join("sessions").join(&id);
@@ -1185,11 +1145,7 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
         state.pipeline_queue,
         state.pipeline_profile(&id),
     );
-    let mounted = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .mount(&id, entry);
+    let mounted = write(&state.sessions).mount(&id, entry);
     match mounted {
         Ok(entry) => Response::json(201, session_summary(&id, &entry).render()),
         Err(refused) => {
@@ -1205,11 +1161,7 @@ fn handle_durable_session_create(state: &State, create: &SessionCreateRequest) -
 }
 
 fn handle_session_delete(state: &State, id: &str) -> Response {
-    let removed = state
-        .sessions
-        .write()
-        .expect("session registry lock")
-        .remove(id);
+    let removed = write(&state.sessions).remove(id);
     match removed {
         Some(entry) => {
             let resp = Response::json(
@@ -1248,12 +1200,7 @@ fn handle_session_ingest(
     missing: Response,
     ctx: &mut TraceContext,
 ) -> Response {
-    let Some(entry) = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .get(id)
-    else {
+    let Some(entry) = read(&state.sessions).get(id) else {
         return missing;
     };
     let points = match parse_points(&req.body, entry.pipeline.dim()) {
@@ -1479,12 +1426,7 @@ fn handle_debug_slow(state: &State, req: &Request) -> Response {
 }
 
 fn handle_session_report(state: &State, id: &str, missing: Response) -> Response {
-    let Some(entry) = state
-        .sessions
-        .read()
-        .expect("session registry lock")
-        .get(id)
-    else {
+    let Some(entry) = read(&state.sessions).get(id) else {
         return missing;
     };
     match entry.pipeline.outliers() {

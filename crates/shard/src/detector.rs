@@ -395,3 +395,57 @@ pub(crate) fn merge_answers(answers: Vec<ShardAnswer>, front: u64) -> OutlierRep
     merged.outliers = outliers.into_iter().map(|s| (s - front) as u32).collect();
     merged
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dod_core::CostReport;
+    use dod_metrics::L2;
+    use dod_stream::{GraphParams, VectorSpace};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn open() -> ShardedStreamDetector<VectorSpace<L2>> {
+        ShardedStreamDetector::open(
+            VectorSpace::new(L2, 2),
+            Query::new(1.5, 4).expect("valid query"),
+            WindowSpec::Count(120),
+            Backend::Graph(GraphParams::default()),
+            ShardSpec::new(3).with_warmup(40),
+        )
+        .expect("sharded detector")
+    }
+
+    #[test]
+    fn merged_report_cost_is_the_sum_of_the_shard_reports() {
+        // Two detectors fed the same stream: one answers the merged
+        // report, the other hands over its per-shard answers. The graph
+        // backend books query cost (the exhaustive one books none).
+        let (mut merged, mut split) = (open(), open());
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut checked, mut booked) = (0, 0);
+        for i in 0..400 {
+            let c = (i % 4) as f32 * 6.0;
+            let p = vec![c + rng.gen_range(-2.0f32..2.0), rng.gen_range(-2.0f32..2.0)];
+            merged.insert(p.clone());
+            split.insert(p);
+            if i % 50 != 49 || !merged.is_partitioned() {
+                continue;
+            }
+            let report = merged.report();
+            let answers = split.collect();
+            assert_eq!(answers.len(), 3);
+            let mut sum = CostReport::default();
+            for a in &answers {
+                sum.absorb(&a.report.cost);
+            }
+            assert_eq!(report.cost, sum, "slide {i}");
+            let candidates: usize = answers.iter().map(|a| a.report.candidates).sum();
+            assert_eq!(report.candidates, candidates, "slide {i}");
+            checked += 1;
+            booked += sum.total_dist_evals();
+        }
+        assert!(checked > 0, "the stream never partitioned");
+        assert!(booked > 0, "the shard reports booked no cost");
+    }
+}

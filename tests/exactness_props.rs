@@ -3,7 +3,7 @@
 //! filtering phase never produces false negatives (Lemma 1).
 
 use dod::core::{dolphin, nested_loop, snif, DodParams, Engine, IndexSpec, Query};
-use dod::core::{greedy_count, TraversalBuffer};
+use dod::core::{greedy_count, FilterPlan, TraversalBuffer};
 use dod::graph::MrpgParams;
 use dod::prelude::*;
 use proptest::prelude::*;
@@ -60,10 +60,11 @@ proptest! {
         let data = VectorSet::from_rows(&rows, L2);
         let n = data.len();
         let (g, _) = dod::graph::mrpg::build(&data, &MrpgParams::new(4));
+        let plan = FilterPlan::new(&g, &data);
         let mut buf = TraversalBuffer::new(n);
         for p in 0..n {
             let truth = (0..n).filter(|&j| j != p && data.dist(p, j) <= r).count();
-            let counted = greedy_count(&g, &data, p, r, usize::MAX, &mut buf);
+            let counted = greedy_count(&g, &data, p, plan.ring(p), r, usize::MAX, &mut buf);
             prop_assert!(
                 counted <= truth,
                 "greedy overcounted at p={}: {} > {}", p, counted, truth
